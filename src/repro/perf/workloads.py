@@ -166,7 +166,7 @@ def _bench_keysearch(quick: bool) -> dict:
 
 
 def _bench_serve_load(quick: bool) -> dict:
-    """32 closed-loop clients on the rate batcher, ``max_batch`` 1 vs 64.
+    """32 closed-loop clients on the admission queue, ``max_batch`` 1 vs 64.
 
     Runs at the engine level (no HTTP) so the measured quantity is the
     coalescing itself: the same pre-parsed requests, the same batch
@@ -203,7 +203,7 @@ def _bench_serve_load(quick: bool) -> dict:
                              queue_limit=8192, cache_size=0,
                              deadline_ms=120_000.0)
         engine = ServiceEngine(config)
-        batcher = engine.batchers["rate"]
+        batcher = engine.batchers["admission"]
         ratings: list[list[float]] = [[] for _ in range(n_clients)]
         barrier = threading.Barrier(n_clients + 1)
 

@@ -14,7 +14,7 @@ package turns many small concurrent requests into few large batch calls:
 * :mod:`repro.serve.plan` — the multi-query planner: a heterogeneous
   batch compiled into few fused columnar ops (CSE on canonical keys,
   cross-endpoint reuse, per-slot error isolation) behind ``POST
-  /batch`` and every per-endpoint micro-batcher;
+  /batch`` and the engine's one admission queue;
 * :mod:`repro.serve.rpc` — the ``repro mcp`` stdio JSON-RPC 2.0
   bridge for MCP hosts and shell pipelines;
 * :mod:`repro.serve.server` — the transport-free

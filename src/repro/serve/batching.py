@@ -22,12 +22,16 @@ an optional linger for a fuller batch when the queue holds fewer than
 closed-loop clients (each waiting for its previous answer) a fixed linger
 only adds latency — the backlog itself produces the batches.
 
-Coalescing is compositional: a batch handed to a dispatch callback may be
-regrouped again by the callback's own locality.  The ``/policy`` and
-``/scenario`` dispatchers group their batch-mates by **tile bucket**
-(:mod:`repro.tiles`), so concurrent point queries that land in the same
-tile cost one lazy tile build — and repeat buckets across batches are
-pure cache hits — instead of one full-lattice grid build per batch.
+Coalescing is compositional: the batcher stays a plain FIFO and hands
+each drained batch to its dispatch callback, which may regroup it by its
+own locality.  The serving engine runs one batcher, ``"admission"``, for
+all seven single-request endpoints and dispatches every batch as one
+plan of the multi-query planner (:mod:`repro.serve.plan`): duplicates
+are computed once (CSE on ``cache_key`` — the only dedup in the serving
+tier), ratings stack into one CTP batch per coupling, and policy /
+scenario points regroup by **tile bucket** (:mod:`repro.tiles`), so
+concurrent point queries that land in the same tile cost one lazy tile
+build.
 
 Backpressure and deadlines
 --------------------------
@@ -79,11 +83,12 @@ class MicroBatcher:
     Parameters
     ----------
     name:
-        Short dotted-metric name (``"rate"``, ``"license"``).
+        Short dotted-metric name (the serving engine's one queue is
+        ``"admission"``).
     dispatch:
         ``dispatch(requests) -> results``, called on the worker thread
-        with 1..max_batch *deduplicated* requests (identical canonical
-        requests are computed once and fanned out to every waiter); must
+        with 1..max_batch requests in admission order (duplicates
+        included: the batcher never dedups, the dispatcher may); must
         return one result per request in order.  A result that is a
         ``BaseException`` instance fails only that request's future; a
         raised exception fails every request in the batch.
@@ -132,7 +137,6 @@ class MicroBatcher:
         self._last_dispatch_epoch = current_epoch()
         self._expired = 0
         self._overflows = 0
-        self._dedup_hits = 0
         self._thread = threading.Thread(
             target=self._run, daemon=True, name=f"repro-serve-{name}")
         if start:
@@ -236,39 +240,23 @@ class MicroBatcher:
             return
         counter_inc(f"serve.{self.name}.dispatches")
         counter_inc(f"serve.{self.name}.batched_requests", len(live))
-        # Intra-batch dedup: identical canonical requests admitted in the
-        # same batch are computed once and fanned out to every waiter
-        # (the cross-request LRU only catches repeats across batches).
-        # Canonical schema objects expose ``cache_key``; opaque requests
-        # (unit tests, ad-hoc dispatchers) fall back to one slot each.
-        slots: dict[object, list[_Pending]] = {}
-        for k, pending in enumerate(live):
-            key = getattr(pending.request, "cache_key", None)
-            slots.setdefault(key if key is not None else ("_slot", k),
-                             []).append(pending)
-        uniques = [group[0] for group in slots.values()]
-        dedup_hits = len(live) - len(uniques)
-        if dedup_hits:
-            self._dedup_hits += dedup_hits
-            counter_inc("serve.batch.dedup_hits", dedup_hits)
         try:
             # The whole dispatch runs under the catalog read guard: a
             # mutation event (write guard) waits for the batch to drain,
             # so every request in it completes bit-identically against
-            # the epoch it was admitted under — never a half-applied
-            # catalog.
+            # one epoch — never a half-applied catalog.
             with read_guard():
                 epoch = current_epoch()
                 with trace(f"serve.batch.{self.name}", size=len(live)):
                     results = list(
-                        self._dispatch([p.request for p in uniques]))
+                        self._dispatch([p.request for p in live]))
             with self._cond:
                 self._last_dispatch_epoch = epoch
-            if len(results) != len(uniques):
+            if len(results) != len(live):
                 raise ValidationError(
                     f"{self.name} dispatch returned {len(results)} results "
-                    f"for {len(uniques)} requests",
-                    context={"got": len(results), "valid": len(uniques)},
+                    f"for {len(live)} requests",
+                    context={"got": len(results), "valid": len(live)},
                 )
         except BaseException as exc:  # noqa: BLE001 — fanned out per future
             for pending in live:
@@ -276,16 +264,15 @@ class MicroBatcher:
                     pending.future.set_exception(exc)
             return
         completed = 0
-        for group, result in zip(slots.values(), results):
-            for pending in group:
-                # A BaseException result is that request's own failure
-                # (the planner isolates errors per slot); it fails this
-                # future without poisoning its batch-mates.
-                if isinstance(result, BaseException):
-                    pending.future.set_exception(result)
-                else:
-                    pending.future.set_result(result)
-                    completed += 1
+        for pending, result in zip(live, results):
+            # A BaseException result is that request's own failure (the
+            # planner isolates errors per slot); it fails this future
+            # without poisoning its batch-mates.
+            if isinstance(result, BaseException):
+                pending.future.set_exception(result)
+            else:
+                pending.future.set_result(result)
+                completed += 1
         with self._cond:
             self._completed += completed
 
@@ -308,7 +295,6 @@ class MicroBatcher:
                 "completed": self._completed,
                 "expired": self._expired,
                 "overflows": self._overflows,
-                "dedup_hits": self._dedup_hits,
                 "batch_size_histogram": histogram,
                 "mean_batch_size": (total_batched / dispatches
                                     if dispatches else 0.0),

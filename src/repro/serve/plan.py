@@ -1,14 +1,11 @@
 """The multi-query planner: one heterogeneous batch -> few fused scans.
 
-The serving tier built so far coalesces *within* an endpoint: the
-``/rate`` MicroBatcher turns N concurrent ratings into one
-``ctp_homogeneous_batch`` call, the ``/policy`` batcher regroups its
-batch by tile bucket, and so on.  An agentic client does not speak one
-endpoint at a time — a single planning turn issues a ``/review`` that
-needs a threshold, three ``/policy`` points on the same tile, a
-``/scenario`` point plus the ``/rate`` of the machine under discussion —
-and until now each of those paid its own columnar pass even when they
-share most of the work.
+Coalescing within one endpoint is not enough: an agentic client does
+not speak one endpoint at a time — a single planning turn issues a
+``/review`` that needs a threshold, three ``/policy`` points on the same
+tile, a ``/scenario`` point plus the ``/rate`` of the machine under
+discussion — and answered one by one, each of those pays its own
+columnar pass even when they share most of the work.
 
 This module closes that gap with a classic query-planner shape:
 
@@ -42,12 +39,13 @@ have returned).
 
 Every result slot is either a response body ``dict`` or the
 ``BaseException`` that sub-request alone would have raised — callers
-(the MicroBatcher fan-out, the ``/batch`` envelope, the JSON-RPC
+(the admission queue's fan-out, the ``/batch`` envelope, the JSON-RPC
 bridge) map exceptions to their transport's error shape.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import nullcontext
 from collections.abc import Sequence
@@ -65,6 +63,7 @@ from repro.core.review import run_annual_review
 from repro.ctp.batch import ctp_homogeneous_batch
 from repro.diffusion.policy import ExportControlPolicy, threshold_at
 from repro.catalog.registry import read_guard
+from repro.obs.errors import ValidationError
 from repro.obs.trace import counter_inc, trace
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "execute_plan",
     "machine_body",
     "review_body",
-    "threshold_at_body",
     "plan_stats",
     "reset_plan_stats",
 ]
@@ -317,15 +315,6 @@ def review_body(request) -> dict:
     }
 
 
-def threshold_at_body(request) -> dict:
-    """``/threshold_at`` response: the era threshold in force."""
-    return {
-        "endpoint": "threshold_at",
-        "year": request.year,
-        "threshold_mtops": threshold_at(request.year),
-    }
-
-
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -422,12 +411,20 @@ def _resolve_eras(plan: QueryPlan) -> dict[float, object]:
 
 def _finish_rate(query: _Query, rating: float,
                  eras: dict[float, object]) -> None:
+    rating = float(rating)
+    if not math.isfinite(rating):
+        # An extreme clock overflows the CTP arithmetic; the answer is a
+        # bad request, not a 200 carrying a non-JSON Infinity.
+        query.result = ValidationError(
+            "configuration rating is not a finite number of Mtops",
+            context={"got": rating, "valid": "finite ctp_mtops"})
+        return
     era = eras[query.request.year]
     if isinstance(era, BaseException):
         query.result = era
         return
     try:
-        query.result = _rate_body(query.request, float(rating), era)
+        query.result = _rate_body(query.request, rating, era)
     except BaseException as exc:  # noqa: BLE001 — isolated per slot
         query.result = exc
 
@@ -440,29 +437,32 @@ def _run_rates(plan: QueryPlan, eras: dict[float, object]) -> None:
     groups: dict[object, list[_Query]] = {}
     for query in plan.by_endpoint("rate"):
         groups.setdefault(query.request.coupling, []).append(query)
-    for coupling, queries in groups.items():
-        elements = [q.request.element() for q in queries]
-        ns = np.array([q.request.processors for q in queries])
-        try:
-            ratings = ctp_homogeneous_batch(elements, ns, coupling)
-        except BaseException:  # noqa: BLE001 — refuse shared-fate errors
-            # A fused failure must not change any slot's answer: fall
-            # back to rating each query alone, exactly as sequential
-            # dispatch would have.
-            for query in queries:
-                try:
-                    rating = ctp_homogeneous_batch(
-                        [query.request.element()],
-                        np.array([query.request.processors]), coupling)[0]
-                except BaseException as exc:  # noqa: BLE001
-                    query.result = exc
-                    continue
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An overflowing rating surfaces as its slot's ValidationError
+        # (see _finish_rate), not as a RuntimeWarning.
+        for coupling, queries in groups.items():
+            elements = [q.request.element() for q in queries]
+            ns = np.array([q.request.processors for q in queries])
+            try:
+                ratings = ctp_homogeneous_batch(elements, ns, coupling)
+            except BaseException:  # noqa: BLE001 — refuse shared-fate errors
+                # A fused failure must not change any slot's answer: fall
+                # back to rating each query alone, exactly as sequential
+                # dispatch would have.
+                for query in queries:
+                    try:
+                        rating = ctp_homogeneous_batch(
+                            [query.request.element()],
+                            np.array([query.request.processors]), coupling)[0]
+                    except BaseException as exc:  # noqa: BLE001
+                        query.result = exc
+                        continue
+                    _finish_rate(query, rating, eras)
+                    _record_op(1)
+                continue
+            for query, rating in zip(queries, ratings):
                 _finish_rate(query, rating, eras)
-                _record_op(1)
-            continue
-        for query, rating in zip(queries, ratings):
-            _finish_rate(query, rating, eras)
-        _record_op(len(queries))
+            _record_op(len(queries))
 
 
 def _run_threshold_ats(plan: QueryPlan, eras: dict[float, object]) -> None:

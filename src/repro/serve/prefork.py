@@ -295,6 +295,10 @@ class PreforkServer:
                                          socket.SO_REUSEADDR, 1)
             self._placeholder.bind((self.config.host, self.config.port))
             self._placeholder.listen(_BACKLOG)
+            # Every worker wakes for each connection but only one wins
+            # the accept(); a loser must get EAGAIN, not block inside
+            # accept() where its server's shutdown() can never reach it.
+            self._placeholder.setblocking(False)
 
     @property
     def port(self) -> int:

@@ -3,15 +3,15 @@
 Two layers, separable on purpose:
 
 * :class:`ServiceEngine` — the transport-free core: parse -> response
-  cache -> micro-batched dispatch -> structured status/body.  Tests and
-  the ``serve_load`` benchmark drive this layer directly.
+  cache -> one admission queue -> fused plan -> structured status/body.
+  Tests and the ``serve_load`` benchmark drive this layer directly.
 * :class:`ServeServer` / :func:`run_server` — a stdlib
   ``ThreadingHTTPServer`` front end (no new dependencies) exposing::
 
-      POST /rate      rate a configuration (micro-batched)
-      POST /license   one license decision  (micro-batched)
-      POST /policy    Chapter-5 policy scorecard (micro-batched)
-      POST /scenario  counterfactual-world scorecard (micro-batched)
+      POST /rate      rate a configuration
+      POST /license   one license decision
+      POST /policy    Chapter-5 policy scorecard
+      POST /scenario  counterfactual-world scorecard
       POST /machine   catalog lookup + controllability assessment
       POST /review    the annual review for a date
       POST /threshold_at     the control threshold in force at a date
@@ -26,16 +26,20 @@ Request handling rules (the contract the test suite pins):
 * every error path returns structured JSON shaped like
   ``{"error": {"type", "message", "context"}}`` derived from the
   :class:`ReproError` taxonomy — a traceback never reaches a response
-  body;
+  body, and a non-finite number never reaches one either;
 * a full queue is ``429`` with a ``Retry-After`` header; a missed
   deadline is ``504``; malformed input is ``400``; an unknown path is
   ``404``; a wrong method is ``405``;
-* ``/rate``, ``/license``, ``/policy``, and ``/scenario`` coalesce
-  concurrent requests through the shared multi-query planner
-  (:mod:`repro.serve.plan`), which compiles every micro-batch into
-  fused columnar ops (one :func:`repro.ctp.batch.ctp_homogeneous_batch`
+* a cache miss on any of the seven single-request endpoints goes
+  through one bounded admission queue (:class:`MicroBatcher`
+  ``"admission"``), so every such request runs under the catalog read
+  guard, within the queue's bound and deadline.  Each drained backlog
+  is one plan of the shared multi-query planner
+  (:mod:`repro.serve.plan`): duplicates are computed once (CSE, the only
+  dedup), and concurrent requests on *different* endpoints fuse into
+  shared columnar ops (one :func:`repro.ctp.batch.ctp_homogeneous_batch`
   per coupling, one controllability matrix pass, one tile-bucket
-  regroup); results are bit-identical to dispatching each request
+  regroup).  Results are bit-identical to dispatching each request
   alone, because every per-request value depends only on that request's
   row (for ``/policy`` and ``/scenario``, its grid/tensor cell — and
   both grid engines are bit-exact per cell);
@@ -72,22 +76,8 @@ from repro.catalog.registry import (
 from repro.obs.trace import counter_inc, trace
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import MISS, LRUCache
-from repro.serve.plan import (
-    build_plan,
-    execute_plan,
-    machine_body,
-    plan_stats,
-    review_body,
-    threshold_at_body,
-)
-from repro.serve.schemas import (
-    ENDPOINTS,
-    GET_ENDPOINTS,
-    MachineRequest,
-    ReviewRequest,
-    ThresholdAtRequest,
-    parse_request,
-)
+from repro.serve.plan import build_plan, execute_plan, plan_stats
+from repro.serve.schemas import ENDPOINTS, GET_ENDPOINTS, parse_request
 
 __all__ = ["ServeConfig", "ServiceEngine", "ServeServer", "run_server",
            "error_body"]
@@ -142,7 +132,26 @@ def error_body(exc: ReproError) -> dict:
     }
 
 
+def _error_response(exc: BaseException) -> tuple[int, dict]:
+    """HTTP status + structured body for one failure.
+
+    The single mapping behind :meth:`ServiceEngine.handle` and every
+    failed ``/batch`` slot, so a slot is byte-identical to issuing its
+    sub-request alone.
+    """
+    if isinstance(exc, ServiceOverloadedError):
+        return 429, error_body(exc)
+    if isinstance(exc, DeadlineExceededError):
+        return 504, error_body(exc)
+    if isinstance(exc, ReproError):
+        return 400, error_body(exc)
+    return 500, {"error": {"type": "InternalError",
+                           "message": str(exc), "context": {}}}
+
+
 def _jsonable(value: object) -> object:
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # RFC 8259 has no Infinity/NaN literals
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
@@ -200,26 +209,16 @@ class ServiceEngine:
         self.worker_id = worker_id
         self.cache = LRUCache(self.config.cache_size)
         self.latency = LatencyRecorder()
-        # Every micro-batched endpoint dispatches through the shared
-        # multi-query planner (one fused plan per drained batch), so
-        # fusion happens even across concurrent single-endpoint clients.
+        # One bounded admission queue for every single request on all
+        # seven endpoints: each drained backlog runs as one fused plan,
+        # so concurrent clients on different endpoints share its ops.
         self.batchers: dict[str, MicroBatcher] = {
-            name: MicroBatcher(
-                name, self._dispatch_plan,
+            "admission": MicroBatcher(
+                "admission", self._dispatch_plan,
                 max_batch=self.config.max_batch,
                 max_wait_ms=self.config.max_wait_ms,
                 queue_limit=self.config.queue_limit,
-            )
-            for name in ("rate", "license", "policy", "scenario")
-        }
-        self._handlers = {
-            "rate": self._rate,
-            "license": self._license,
-            "machine": self._machine,
-            "review": self._review,
-            "policy": self._policy,
-            "scenario": self._scenario,
-            "threshold_at": self._threshold_at,
+            ),
         }
         self._started_at = time.monotonic()
         self._closed = False
@@ -234,11 +233,12 @@ class ServiceEngine:
         )
 
     def close(self, drain_timeout: float | None = None) -> None:
-        """Stop the batch workers, draining queued work first (idempotent).
+        """Stop the admission worker, draining queued work first
+        (idempotent).
 
-        Each batcher's worker finishes in-flight and queued requests
-        before exiting, bounded by ``drain_timeout`` seconds (default:
-        the config's ``drain_timeout``) — graceful shutdown never strands
+        The worker finishes in-flight and queued requests before
+        exiting, bounded by ``drain_timeout`` seconds (default: the
+        config's ``drain_timeout``) — graceful shutdown never strands
         an accepted request silently, and never hangs forever either.
         """
         if self._closed:
@@ -276,27 +276,20 @@ class ServiceEngine:
                 key = (current_epoch(), *request.cache_key)
                 body = self.cache.get(key)
                 if body is MISS:
-                    body = self._handlers[endpoint](request)
+                    body = self._await(self.batchers["admission"].submit(
+                        request,
+                        deadline_s=self.config.deadline_ms / 1000.0))
                     self.cache.put(key, body)
                 return 200, body
-        except ServiceOverloadedError as exc:
-            counter_inc("serve.responses.429")
-            return 429, error_body(exc)
-        except DeadlineExceededError as exc:
-            counter_inc("serve.responses.504")
-            return 504, error_body(exc)
-        except ReproError as exc:
-            counter_inc("serve.responses.400")
-            return 400, error_body(exc)
         except Exception as exc:  # noqa: BLE001 — no traceback may escape
-            counter_inc("serve.responses.500")
-            return 500, {"error": {"type": "InternalError",
-                                   "message": str(exc), "context": {}}}
+            status, body = _error_response(exc)
+            counter_inc(f"serve.responses.{status}")
+            return status, body
         finally:
             self.latency.record(endpoint, time.perf_counter() - start)
 
     def _await(self, future) -> dict:
-        """Wait out a batched dispatch within the request deadline."""
+        """Wait out the admission dispatch within the request deadline."""
         budget = self.config.deadline_ms / 1000.0
         try:
             # Small grace beyond the deadline: the worker enforces queue
@@ -312,69 +305,24 @@ class ServiceEngine:
                 context={"deadline_ms": self.config.deadline_ms},
             ) from None
 
-    def _rate(self, request: RateRequest) -> dict:
-        deadline = self.config.deadline_ms / 1000.0
-        return self._await(
-            self.batchers["rate"].submit(request, deadline_s=deadline))
-
-    def _license(self, request: LicenseRequest) -> dict:
-        deadline = self.config.deadline_ms / 1000.0
-        return self._await(
-            self.batchers["license"].submit(request, deadline_s=deadline))
-
-    def _policy(self, request: PolicyRequest) -> dict:
-        deadline = self.config.deadline_ms / 1000.0
-        return self._await(
-            self.batchers["policy"].submit(request, deadline_s=deadline))
-
-    def _scenario(self, request: ScenarioRequest) -> dict:
-        deadline = self.config.deadline_ms / 1000.0
-        return self._await(
-            self.batchers["scenario"].submit(request, deadline_s=deadline))
-
-    # -- batched dispatcher (worker thread) ---------------------------------
+    # -- the admission dispatcher (worker thread) ---------------------------
 
     def _dispatch_plan(self, requests: list) -> list:
-        """Serve one drained micro-batch as one fused query plan.
+        """Serve one drained admission batch as one fused query plan.
 
-        All four batchers share this dispatcher: the planner compiles
-        whatever mix it is handed into fused columnar ops (one
-        ``ctp_homogeneous_batch`` per coupling, one controllability
-        matrix pass, one tile-bucket regroup per plane) and scatters
-        per-request bodies bit-identical to one-at-a-time dispatch.  The
-        MicroBatcher already holds the catalog read guard for the whole
-        dispatch (the guard is not reentrant), and fans a
+        The planner compiles whatever endpoint mix it is handed into
+        fused columnar ops (one ``ctp_homogeneous_batch`` per coupling,
+        one controllability matrix pass, one tile-bucket regroup per
+        plane), computes duplicate requests once (CSE on ``cache_key``),
+        and scatters per-request bodies bit-identical to one-at-a-time
+        dispatch.  The MicroBatcher already holds the catalog read guard
+        for the whole dispatch (the guard is not reentrant), and fans a
         ``BaseException`` result out as that request's own failure — a
         poisoned batch-mate never fails its neighbors.
         """
         return execute_plan(build_plan(requests), caller_holds_guard=True)
 
-    # -- direct (unbatched) handlers ----------------------------------------
-
-    def _machine(self, request: MachineRequest) -> dict:
-        return machine_body(request)
-
-    def _review(self, request: ReviewRequest) -> dict:
-        return review_body(request)
-
-    def _threshold_at(self, request: ThresholdAtRequest) -> dict:
-        return threshold_at_body(request)
-
     # -- the /batch envelope ------------------------------------------------
-
-    @staticmethod
-    def _sub_response(exc: BaseException) -> tuple[int, dict]:
-        """Status + body for one failed sub-request — the same mapping
-        :meth:`handle` applies, so a slot is byte-identical to issuing
-        the sub-request alone."""
-        if isinstance(exc, ServiceOverloadedError):
-            return 429, error_body(exc)
-        if isinstance(exc, DeadlineExceededError):
-            return 504, error_body(exc)
-        if isinstance(exc, ReproError):
-            return 400, error_body(exc)
-        return 500, {"error": {"type": "InternalError",
-                               "message": str(exc), "context": {}}}
 
     def _batch(self, payload: object) -> dict:
         """Run a heterogeneous sub-request list as one fused plan.
@@ -449,7 +397,7 @@ class ServiceEngine:
             summary = plan.summary()
             for (i, key, _), outcome in zip(pending, outcomes):
                 if isinstance(outcome, BaseException):
-                    status, body = self._sub_response(outcome)
+                    status, body = _error_response(outcome)
                     results[i] = {"status": status, "body": body}
                 else:
                     self.cache.put(key, outcome)
@@ -648,19 +596,21 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         path = self.path.split("?", 1)[0]
         endpoint = _POST_PATHS.get(path)
+        try:
+            if endpoint is None:
+                # Consume the unread body so the keep-alive stream stays
+                # in sync for the next request on this connection.
+                self._drain_body()
+            else:
+                payload = self._read_json()
+        except ReproError as exc:
+            self._send(400, error_body(exc))
+            return
         if endpoint is None:
-            # Consume the unread body so the keep-alive stream stays in
-            # sync for the next request on this connection.
-            self._drain_body()
             if path in _GET_PATHS:
                 self._method_not_allowed("GET")
             else:
                 self._not_found(path)
-            return
-        try:
-            payload = self._read_json()
-        except ReproError as exc:
-            self._send(400, error_body(exc))
             return
         status, body = self.engine.handle(endpoint, payload)
         headers = {}
@@ -672,28 +622,40 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- helpers ------------------------------------------------------------
 
+    def _content_length(self) -> int | None:
+        """The declared body length, ``None`` when absent or not an
+        integer.  A negative length is a 400 that closes the connection:
+        ``rfile.read(-1)`` would block until the client hangs up."""
+        try:
+            length = int(self.headers.get("Content-Length"))
+        except (TypeError, ValueError):
+            return None
+        if length < 0:
+            self.close_connection = True
+            raise ValidationError(
+                "Content-Length must be >= 0",
+                context={"got": length, "valid": "integer byte count"},
+            )
+        return length
+
     def _drain_body(self) -> None:
         """Read and discard an unconsumed request body (keep-alive
         hygiene); oversized bodies force the connection closed instead."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            length = 0
+        length = self._content_length() or 0
         if 0 < length <= _MAX_BODY_BYTES:
             self.rfile.read(length)
         elif length > _MAX_BODY_BYTES:
             self.close_connection = True
 
     def _read_json(self) -> object:
-        length = self.headers.get("Content-Length")
-        try:
-            length = int(length)
-        except (TypeError, ValueError):
+        length = self._content_length()
+        if length is None:
             self.close_connection = True
             raise ValidationError(
                 "Content-Length header is required",
-                context={"got": length, "valid": "integer byte count"},
-            ) from None
+                context={"got": self.headers.get("Content-Length"),
+                         "valid": "integer byte count"},
+            )
         if length > _MAX_BODY_BYTES:
             self.close_connection = True
             raise ValidationError(

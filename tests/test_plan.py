@@ -7,7 +7,8 @@ successes (identical JSON serialization, which covers dict field order)
 and for failures (the same exception type and message, isolated to the
 slots that depend on the failing input).  Around it: the epoch
 interleave rule (a plan admitted at epoch N finishes against epoch N
-while a mutation queues), the MicroBatcher dedup counter, the ``POST
+while a mutation queues), the one admission queue (duplicates served by
+one plan's CSE; direct endpoints held behind a mutation), the ``POST
 /batch`` envelope, the ``serve.plan`` metrics pin, and the stdio
 JSON-RPC bridge.
 """
@@ -17,13 +18,14 @@ from __future__ import annotations
 import io
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.events import apply_event, parse_event, reset_catalog
-from repro.catalog.registry import current_epoch
+from repro.catalog.registry import current_epoch, write_guard
 from repro.obs.trace import counters
 from repro.serve import plan as plan_module
 from repro.serve.batching import MicroBatcher
@@ -192,17 +194,122 @@ class TestEpochInterleave:
 
 
 # ---------------------------------------------------------------------------
-# MicroBatcher dedup
+# the admission queue: one MicroBatcher, the planner's CSE as the only dedup
 # ---------------------------------------------------------------------------
 
-class _KeyedRequest:
-    def __init__(self, key: tuple, value: int) -> None:
-        self.cache_key = key
-        self.value = value
+def _gate_admission(engine: ServiceEngine):
+    """Hold the admission dispatch until ``release`` is set; ``entered``
+    fires once the worker is inside a dispatch."""
+    release, entered = threading.Event(), threading.Event()
+    batcher = engine.batchers["admission"]
+    original = batcher._dispatch
+
+    def gated(requests):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(5.0), "gate never released"
+        return original(requests)
+
+    batcher._dispatch = gated
+    return release, entered
+
+
+class TestAdmissionQueue:
+    def test_queued_duplicates_share_one_plan(self):
+        """Duplicates queued behind a busy dispatch are served by one
+        plan: CSE computes each unique request once, and every waiter
+        still gets its own correct body."""
+        backlog = [("review", {"year": 1994.5}),
+                   ("machine", {"machine": "Cray C916"}),
+                   ("threshold_at", {"year": 1994.5}),
+                   ("review", {"year": 1994.5}),
+                   ("machine", {"machine": "cray c916"}),
+                   ("threshold_at", {"year": 1994.5}),
+                   ("rate", {"clock_mhz": 150.0, "processors": 16,
+                             "year": 1994.5})]
+        duplicates = 3
+        reference = ServiceEngine(ServeConfig(cache_size=0))
+        try:
+            expected = [reference.handle(e, p) for e, p in backlog]
+        finally:
+            reference.close()
+
+        engine = ServiceEngine(ServeConfig(cache_size=0, max_batch=16))
+        release, entered = _gate_admission(engine)
+        got: list = [None] * len(backlog)
+
+        def ask(i: int) -> None:
+            got[i] = engine.handle(*backlog[i])
+
+        try:
+            first = threading.Thread(target=lambda: engine.handle(
+                "threshold_at", {"year": 1992.0}))
+            first.start()
+            assert entered.wait(5.0)
+            before_hits = counters().get("serve.plan.cse_hits", 0)
+            before_plans = plan_stats()["plans"]
+            waiters = [threading.Thread(target=ask, args=(i,))
+                       for i in range(len(backlog))]
+            for waiter in waiters:
+                waiter.start()
+            batcher = engine.batchers["admission"]
+            deadline = time.monotonic() + 5.0
+            while (batcher.depth() < len(backlog)
+                   and time.monotonic() < deadline):
+                time.sleep(0.002)
+            assert batcher.depth() == len(backlog)
+            release.set()
+            for thread in (first, *waiters):
+                thread.join(10.0)
+            assert not any(t.is_alive() for t in (first, *waiters))
+        finally:
+            release.set()
+            engine.close()
+        assert plan_stats()["plans"] - before_plans == 2  # gated + backlog
+        assert counters()["serve.plan.cse_hits"] - before_hits == duplicates
+        assert [status for status, _ in got] == [200] * len(backlog)
+        assert [json.dumps(body) for _, body in got] == [
+            json.dumps(body) for _, body in expected]
+
+    def test_direct_endpoints_wait_for_write_guard(self):
+        """/review, /machine and /threshold_at run under the catalog read
+        guard: while a mutation holds the write guard they do not
+        complete, so they never read a half-applied catalog."""
+        payloads = {"review": {"year": 1994.5},
+                    "machine": {"machine": "Cray C916"},
+                    "threshold_at": {"year": 1994.5}}
+        engine = ServiceEngine(ServeConfig(cache_size=0))
+        results: dict = {}
+
+        def ask(endpoint: str) -> None:
+            results[endpoint] = engine.handle(endpoint, payloads[endpoint])
+
+        threads = [threading.Thread(target=ask, args=(endpoint,))
+                   for endpoint in payloads]
+        try:
+            with write_guard():
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(0.2)
+                assert results == {}, "answered during a mutation"
+            for thread in threads:
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            engine.close()
+        assert {endpoint: status
+                for endpoint, (status, _) in results.items()} == {
+                    endpoint: 200 for endpoint in payloads}
 
 
 class TestBatcherDedup:
-    def test_intra_batch_duplicates_dispatch_once(self):
+    """The MicroBatcher has no dedup of its own: every queued request
+    reaches the dispatcher in its own slot (the planner's CSE is the
+    serving tier's one dedup mechanism)."""
+
+    def test_opaque_requests_never_dedup(self):
+        """Identical queued requests each keep their own dispatch slot."""
         release, entered = threading.Event(), threading.Event()
         seen: list[list[int]] = []
 
@@ -210,36 +317,7 @@ class TestBatcherDedup:
             if not entered.is_set():
                 entered.set()
                 assert release.wait(5.0)
-            seen.append([r.value for r in requests])
-            return [r.value * 2 for r in requests]
-
-        batcher = MicroBatcher("t", dispatch, max_batch=8, queue_limit=64)
-        before = counters().get("serve.batch.dedup_hits", 0)
-        try:
-            first = batcher.submit(_KeyedRequest(("k", 0), 0))
-            assert entered.wait(5.0)
-            backlog = [batcher.submit(_KeyedRequest(("k", i % 2), i % 2))
-                       for i in range(1, 6)]
-            release.set()
-            assert first.result(5.0) == 0
-            assert [f.result(5.0) for f in backlog] == [2, 0, 2, 0, 2]
-        finally:
-            batcher.stop()
-        # The 5-deep backlog held 2 unique keys: one dispatch of 2.
-        assert seen == [[0], [1, 0]]
-        stats = batcher.stats()
-        assert stats["dedup_hits"] == 3
-        assert stats["completed"] == 6
-        assert counters()["serve.batch.dedup_hits"] - before == 3
-
-    def test_opaque_requests_never_dedup(self):
-        """No ``cache_key`` attribute -> every request keeps its slot."""
-        release, entered = threading.Event(), threading.Event()
-
-        def dispatch(requests):
-            if not entered.is_set():
-                entered.set()
-                assert release.wait(5.0)
+            seen.append(list(requests))
             return list(requests)
 
         batcher = MicroBatcher("t", dispatch, max_batch=8, queue_limit=64)
@@ -252,7 +330,8 @@ class TestBatcherDedup:
             assert [f.result(5.0) for f in backlog] == [7, 7, 7]
         finally:
             batcher.stop()
-        assert batcher.stats()["dedup_hits"] == 0
+        assert seen == [[7], [7, 7, 7]]
+        assert batcher.stats()["completed"] == 4
 
     def test_exception_result_fails_only_its_future(self):
         """A dispatch may return a BaseException in one slot; the other

@@ -295,7 +295,7 @@ class TestPolicyEndpoint:
                 got = list(pool.map(
                     lambda p: client.request("POST", "/policy", p), work))
             histogram = server.engine.metrics()["serve"]["batchers"][
-                "policy"]["batch_size_histogram"]
+                "admission"]["batch_size_histogram"]
         finally:
             client.close()
             server.close()

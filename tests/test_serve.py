@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,7 @@ from repro.obs.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
+from repro.serve import plan as plan_module
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import MISS, LRUCache
 from repro.serve.client import ServeClient
@@ -163,11 +165,11 @@ class TestResponseCache:
 # backpressure and deadlines over HTTP
 # ---------------------------------------------------------------------------
 
-def _gate_dispatch(server: ServeServer, name: str):
-    """Block the named batcher's dispatch until the returned event is
+def _gate_dispatch(server: ServeServer):
+    """Block the admission queue's dispatch until the returned event is
     set; the second event fires once the worker is inside a dispatch."""
     release, entered = threading.Event(), threading.Event()
-    batcher = server.engine.batchers[name]
+    batcher = server.engine.batchers["admission"]
     original = batcher._dispatch
 
     def gated(requests):
@@ -182,7 +184,7 @@ def _gate_dispatch(server: ServeServer, name: str):
 class TestBackpressure:
     def test_full_queue_returns_429_with_retry_after(self):
         server = _server(max_batch=1, queue_limit=1, cache_size=0)
-        release, entered = _gate_dispatch(server, "rate")
+        release, entered = _gate_dispatch(server)
         client = ServeClient(port=server.port)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
@@ -193,10 +195,10 @@ class TestBackpressure:
                     lambda: client.rate(clock_mhz=101.0))
                 # Wait (bounded) for request B to occupy the queue slot.
                 deadline = time.monotonic() + 5.0
-                while (server.engine.batchers["rate"].depth() < 1
+                while (server.engine.batchers["admission"].depth() < 1
                        and time.monotonic() < deadline):
                     time.sleep(0.005)
-                assert server.engine.batchers["rate"].depth() == 1
+                assert server.engine.batchers["admission"].depth() == 1
 
                 shed = ServeClient(port=server.port)
                 response = shed.rate(clock_mhz=102.0)
@@ -219,7 +221,7 @@ class TestBackpressure:
     def test_expired_queue_wait_returns_504(self):
         server = _server(max_batch=1, queue_limit=8, cache_size=0,
                          deadline_ms=40.0)
-        release, entered = _gate_dispatch(server, "rate")
+        release, entered = _gate_dispatch(server)
         client = ServeClient(port=server.port)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
@@ -227,10 +229,10 @@ class TestBackpressure:
                 assert entered.wait(5.0)
                 late = pool.submit(lambda: client.rate(clock_mhz=101.0))
                 deadline = time.monotonic() + 5.0
-                while (server.engine.batchers["rate"].depth() < 1
+                while (server.engine.batchers["admission"].depth() < 1
                        and time.monotonic() < deadline):
                     time.sleep(0.005)
-                assert server.engine.batchers["rate"].depth() == 1
+                assert server.engine.batchers["admission"].depth() == 1
                 time.sleep(0.05)  # let the queued request's 40ms lapse
                 release.set()
                 response = late.result()
@@ -300,6 +302,25 @@ class TestErrorPaths:
         assert response.status == 405
         assert response.headers["Allow"] == "POST"
 
+    @pytest.mark.parametrize("path", ["/rate", "/nope"])
+    @pytest.mark.parametrize("length", ["-1", "-5"])
+    def test_negative_content_length_is_structured_400(self, server, path,
+                                                       length):
+        """A negative Content-Length must not pin the handler thread on
+        ``rfile.read(-1)`` nor drop the connection without a response:
+        a JSON 400 arrives within 1 s and the server closes."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=1.0) as sock:
+            sock.sendall((f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                          f"Content-Type: application/json\r\n"
+                          f"Content-Length: {length}\r\n\r\n").encode())
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        head, _, payload = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(payload)["error"]["type"] == "ValidationError"
+
     def test_invalid_json_body_is_structured_400(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                           timeout=5.0)
@@ -335,13 +356,13 @@ class TestErrorPaths:
         assert response.status == 400
         assert response.body["error"]["context"]  # carries suggestions
 
-    def test_internal_error_is_json_not_traceback(self):
+    def test_internal_error_is_json_not_traceback(self, monkeypatch):
         engine = ServiceEngine(ServeConfig())
         try:
             def boom(request):
                 raise RuntimeError("wires crossed")
 
-            engine._handlers["machine"] = boom
+            monkeypatch.setattr(plan_module, "machine_body", boom)
             status, body = engine.handle("machine",
                                          {"machine": "Cray C916"})
         finally:
@@ -349,6 +370,34 @@ class TestErrorPaths:
         assert status == 500
         assert body["error"]["type"] == "InternalError"
         assert "Traceback" not in json.dumps(body)
+
+
+_NON_FINITE = [
+    ("policy_inf_threshold", "policy",
+     {"threshold_mtops": float("inf"), "year": 1995.5}),
+    ("review_nan_year", "review", {"year": float("nan")}),
+    ("rate_overflow", "rate", {"clock_mhz": 1e308, "processors": 4}),
+]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "endpoint,payload", [case[1:] for case in _NON_FINITE],
+        ids=[case[0] for case in _NON_FINITE])
+    def test_bodies_are_strict_json_400s(self, endpoint, payload):
+        """Neither an echoed input nor an overflowing rating may put
+        ``Infinity``/``NaN`` (not RFC 8259 JSON) on the wire."""
+        engine = ServiceEngine(ServeConfig(cache_size=0))
+        try:
+            status, body = engine.handle(endpoint, payload)
+            _, batch = engine.handle("batch", {"requests": [
+                {"endpoint": endpoint, **payload}]})
+        finally:
+            engine.close()
+        assert status == 400
+        assert body["error"]["type"] == "ValidationError"
+        json.dumps(body, allow_nan=False)
+        assert batch["results"] == [{"status": 400, "body": body}]
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +415,7 @@ class TestIntrospection:
             server.close()
         assert body["status"] == "ok"
         assert body["config"]["max_batch"] == 32
-        assert set(body["queue_depth"]) == {"rate", "license", "policy",
-                                            "scenario"}
+        assert set(body["queue_depth"]) == {"admission"}
         assert "rate" in body["endpoints"]
 
     def test_metrics_shape_after_traffic(self):
@@ -382,7 +430,7 @@ class TestIntrospection:
             server.close()
         serve = body["serve"]
         assert set(serve) >= {"config", "cache", "batchers", "latency"}
-        rate_stats = serve["batchers"]["rate"]
+        rate_stats = serve["batchers"]["admission"]
         assert rate_stats["dispatches"] >= 1
         assert sum(rate_stats["batch_size_histogram"].values()) \
             == rate_stats["dispatches"]
